@@ -16,15 +16,15 @@ For per-tuple speed every expression compiles to a Python closure over the
 schema's field positions (:meth:`Expression.compile`); the tree-walking
 :meth:`Expression.evaluate` exists for clarity and tests.
 
-Expressions that can be evaluated a *column at a time* additionally
-compile to a columnar closure ``(cols, n) -> column``
-(:meth:`Expression.compile_cols`) — a plain column reference returns the
-input column itself with no copy, and arithmetic maps elementwise.  The
-engine's :meth:`~repro.dsms.engine.QueryEngine.insert_cols` uses these to
-skip materializing row tuples entirely.  Each element goes through the
-same scalar operation as the row path, so results are bit-identical.
-``compile_cols`` returns ``None`` where columnar evaluation could change
-semantics — notably AND/OR, whose row form short-circuits.
+Every expression also compiles to a columnar closure ``(cols, n) ->
+column`` (:meth:`Expression.compile_cols`), which the engine's batched
+ingest kernel (:meth:`~repro.dsms.engine.QueryEngine.insert_cols`) runs
+once per batch.  A plain column reference returns the input column itself
+with no copy, and arithmetic, comparisons and scalar functions map
+elementwise.  Each element goes through the same scalar operation as the
+row path, so results are bit-identical.  AND/OR/NOT keep the default
+form, which lifts the row closure over the batch, so their short-circuit
+evaluation is the row path's own.
 """
 
 from __future__ import annotations
@@ -101,15 +101,18 @@ class Expression(ABC):
     def compile(self, schema: Schema) -> Evaluator:
         """Compile to a closure ``row -> value`` resolved against ``schema``."""
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
-        """Compile to a columnar closure ``(cols, n) -> column``, or None.
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
+        """Compile to a columnar closure ``(cols, n) -> column``.
 
-        None means this expression has no columnar form (the caller falls
-        back to row-at-a-time evaluation).  When a closure is returned it
-        applies the very same scalar operation per element as
-        :meth:`compile`, so the two paths produce identical values.
+        This default lifts the :meth:`compile` closure over the batch:
+        one transpose per call, then the row closure on each row, so
+        row-only semantics such as short-circuiting carry over unchanged.
+        Subclasses override it with an elementwise form that applies the
+        very same scalar operation per element as :meth:`compile`; either
+        way the two paths produce identical values.
         """
-        return None
+        row_fn = self.compile(schema)
+        return lambda cols, n: [row_fn(row) for row in zip(*cols)]
 
     @abstractmethod
     def columns(self) -> set[str]:
@@ -201,11 +204,9 @@ class BinaryOp(Expression):
         fn = _ARITHMETIC[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         left = self.left.compile_cols(schema)
         right = self.right.compile_cols(schema)
-        if left is None or right is None:
-            return None
         fn = _gsql_divide if self.op == "/" else _ARITHMETIC[self.op]
         return lambda cols, n: [
             fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
@@ -236,10 +237,8 @@ class UnaryOp(Expression):
         operand = self.operand.compile(schema)
         return lambda row: -operand(row)  # type: ignore[operator]
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         operand = self.operand.compile_cols(schema)
-        if operand is None:
-            return None
         return lambda cols, n: [-v for v in operand(cols, n)]
 
     def columns(self) -> set[str]:
@@ -272,11 +271,9 @@ class Comparison(Expression):
         fn = _COMPARISONS[self.op]
         return lambda row: fn(left(row), right(row))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         left = self.left.compile_cols(schema)
         right = self.right.compile_cols(schema)
-        if left is None or right is None:
-            return None
         fn = _COMPARISONS[self.op]
         return lambda cols, n: [
             fn(a, b) for a, b in zip(left(cols, n), right(cols, n))
@@ -291,7 +288,11 @@ class Comparison(Expression):
 
 @dataclass(frozen=True)
 class BooleanOp(Expression):
-    """``AND`` / ``OR`` / ``NOT`` over boolean sub-expressions."""
+    """``AND`` / ``OR`` / ``NOT`` over boolean sub-expressions.
+
+    Keeps the default :meth:`Expression.compile_cols`: an operand after
+    the deciding one is never evaluated, exactly as in the row closure.
+    """
 
     op: str
     operands: tuple[Expression, ...]
@@ -359,11 +360,9 @@ class FunctionCall(Expression):
             return lambda row: fn(single(row))
         return lambda row: fn(*(c(row) for c in compiled))
 
-    def compile_cols(self, schema: Schema) -> ColsEvaluator | None:
+    def compile_cols(self, schema: Schema) -> ColsEvaluator:
         fn = _FUNCTIONS[self.name]
         compiled = [a.compile_cols(schema) for a in self.args]
-        if any(c is None for c in compiled):
-            return None
         if len(compiled) == 1:
             single = compiled[0]
             return lambda cols, n: [fn(v) for v in single(cols, n)]

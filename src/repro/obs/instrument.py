@@ -3,7 +3,7 @@
 Instrumentation is strictly opt-in and rebinding-based: when a
 :class:`~repro.obs.registry.MetricsRegistry` is attached to a
 :class:`~repro.dsms.engine.QueryEngine`, the engine's ``process`` /
-``insert_many`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
+``insert_cols`` / ``flush`` / ``checkpoint`` / ``restore`` methods are
 shadowed by timed wrappers *on that instance only*, and each aggregate
 plan's UDAF is wrapped in a :class:`TimedUdaf`.  Uninstrumented engines
 keep the untouched class methods, so the disabled-mode cost is exactly
@@ -18,7 +18,7 @@ instrumented run produces bit-identical results to an uninstrumented one
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.dsms.engine import QueryEngine
@@ -120,7 +120,7 @@ class EngineInstrumentation:
             plan.udaf = TimedUdaf(plan.udaf, metrics, prefix)
         # Shadow the class methods on this instance only.
         engine.process = self._process
-        engine.insert_many = self._insert_many
+        engine.insert_cols = self._insert_cols
         engine.flush = self._flush
         engine.checkpoint = self._checkpoint
         engine.restore = self._restore
@@ -151,17 +151,18 @@ class EngineInstrumentation:
         if len(engine._emitted) != emitted_before:
             self.emitted.add(float(len(engine._emitted) - emitted_before))
 
-    def _insert_many(self, rows: Iterable[tuple]) -> None:
+    def _insert_cols(self, cols: list) -> None:
+        # insert_many reaches the kernel through this shadow too, so both
+        # batched entry points are counted here, once.
         engine = self.engine
-        if not isinstance(rows, (list, tuple)):
-            rows = list(rows)
+        tuples_before = engine._tuples_in
         selected_before = engine._tuples_selected
         evictions_before = engine._low_evictions
         emitted_before = len(engine._emitted)
         start = _perf_ns()
-        type(engine).insert_many(engine, rows)
+        type(engine).insert_cols(engine, cols)
         elapsed_us = (_perf_ns() - start) / 1e3
-        count = len(rows)
+        count = engine._tuples_in - tuples_before
         self.ingest.add(float(count))
         self.rate.observe(float(count))
         self.batch_sizes.observe(float(count))
@@ -172,7 +173,7 @@ class EngineInstrumentation:
             self.selected.add(float(selected))
             if engine._group_fns:
                 where_fn = engine._where_fn
-                for row in rows:
+                for row in zip(*cols):
                     if where_fn is None or where_fn(row):
                         key = tuple(fn(row) for fn in engine._group_fns)
                         self.hot.observe(self._hot_key(key))

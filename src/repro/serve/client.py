@@ -210,10 +210,21 @@ class _ClientCore:
         if not data:
             raise ConnectionError("server closed the connection")
         self._decoder.feed(data)
+        # Absorb the whole chunk before raising: the server answers a
+        # rejected batch with ERROR then CREDIT, and a CREDIT left in the
+        # decoder would make the next wait block for a credit already held.
+        first_error: RemoteError | None = None
         for frame in self._decoder.frames():
-            seen = self._absorb(frame)
+            try:
+                seen = self._absorb(frame)
+            except RemoteError as error:
+                if first_error is None:
+                    first_error = error
+                continue
             if seen is not None:
                 self._pending.append(seen)
+        if first_error is not None:
+            raise first_error
 
     @staticmethod
     def _expect(frame: Frame, ftype: int) -> Frame:

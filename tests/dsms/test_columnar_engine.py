@@ -1,9 +1,10 @@
-"""The engine's columnar ingest path: bit-identity with the row path.
+"""The engine's batched ingest kernel: bit-identity with the per-tuple path.
 
-:meth:`QueryEngine.insert_cols` promises results equal to
-:meth:`insert_many` of the transposed batch — not approximately, but as
-the identical sequence of UDAF calls.  Every test here feeds two engines
-the same logical stream through the two paths and demands ``==`` on the
+:meth:`QueryEngine.insert_cols` (and :meth:`insert_many`, which transposes
+onto it) promises results equal to :meth:`process` of the same rows — not
+approximately, but with every UDAF state seeing the same values in the
+same order.  Every test here feeds the batched paths and a ``process``
+reference engine the same logical stream and demands ``==`` on the
 flushed results, including for sketch-backed aggregates whose internal
 layout depends on the exact update order.
 """
@@ -56,8 +57,15 @@ def to_cols(rows) -> list[list]:
     return [list(col) for col in zip(*rows)]
 
 
-def engine(sql: str) -> QueryEngine:
-    return QueryEngine(parse_query(sql, default_registry()), SCHEMA)
+def engine(sql: str, **kwargs) -> QueryEngine:
+    return QueryEngine(parse_query(sql, default_registry()), SCHEMA, **kwargs)
+
+
+def via_process(sql: str, rows) -> QueryEngine:
+    reference = engine(sql)
+    for row in rows:
+        reference.process(row)
+    return reference
 
 
 QUERIES = [
@@ -87,47 +95,41 @@ QUERIES = [
     pytest.param(
         "select tb, count(*) as c from TCP "
         "where proto = 'tcp' and len > 100 group by time/60 as tb",
-        id="boolean-where-fallback",
+        id="boolean-where-lifted",
+    ),
+    pytest.param(
+        # The right operand divides by zero wherever the left one is
+        # false: the lifted WHERE must never evaluate it there.
+        "select tb, count(*) as c from TCP "
+        "where destPort != 443 and 1000 / (destPort - 443) > 2 "
+        "group by time/60 as tb",
+        id="boolean-where-guards-division",
     ),
 ]
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_one_batch_matches_insert_many(self, sql):
+    def test_one_batch_matches_process(self, sql):
         rows = make_rows()
         via_rows, via_cols = engine(sql), engine(sql)
         via_rows.insert_many(rows)
         via_cols.insert_cols(to_cols(rows))
-        assert via_cols.flush() == via_rows.flush()
+        expected = via_process(sql, rows).flush()
+        assert via_cols.flush() == expected
+        assert via_rows.flush() == expected
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_chunked_and_interleaved_stream(self, sql):
         rows = make_rows(500)
-        via_rows, mixed = engine(sql), engine(sql)
-        via_rows.insert_many(rows)
+        mixed = engine(sql)
         for start in range(0, len(rows), 100):
             chunk = rows[start : start + 100]
             if (start // 100) % 2:
                 mixed.insert_many(chunk)
             else:
                 mixed.insert_cols(to_cols(chunk))
-        assert mixed.flush() == via_rows.flush()
-
-    def test_boolean_where_has_no_columnar_plan(self):
-        # BooleanOp keeps Python's short-circuit semantics, which a
-        # column-at-a-time mask cannot reproduce for side-effect-free
-        # rows only by accident — so it opts out and insert_cols falls
-        # back to the transpose (still bit-identical, per the test above).
-        fallback = engine(
-            "select tb, count(*) as c from TCP "
-            "where proto = 'tcp' and len > 100 group by time/60 as tb"
-        )
-        assert not fallback.has_columnar_plan
-        columnar = engine(
-            "select tb, count(*) as c from TCP group by time/60 as tb"
-        )
-        assert columnar.has_columnar_plan
+        assert mixed.flush() == via_process(sql, rows).flush()
 
     def test_empty_batch_is_a_noop(self):
         one = engine(QUERIES[0].values[0])
@@ -142,13 +144,66 @@ class TestBitIdentity:
             )
 
 
+class TestRaisingBatch:
+    """A batch whose expression raises, or that is malformed, ingests
+    nothing: counters, groups, evictions and emissions stay as they were."""
+
+    #: 1000 / (destPort - 443) raises on the final row only.
+    ROWS = [row for row in make_rows(60) if row[3] != 443][:39] + [
+        (179, "s0", "h0", 443, 40, "tcp")
+    ]
+
+    def assert_untouched(self, victim: QueryEngine) -> None:
+        assert victim.tuples_processed == 0
+        assert victim.tuples_selected == 0
+        assert victim.low_evictions == 0
+        assert victim.group_count == 0
+        assert victim.flush() == []
+
+    def feed(self, victim: QueryEngine, entry: str, rows) -> None:
+        if entry == "insert_cols":
+            victim.insert_cols(to_cols(rows))
+        else:
+            victim.insert_many(rows)
+
+    @pytest.mark.parametrize("entry", ["insert_many", "insert_cols"])
+    def test_raising_where(self, entry):
+        victim = engine(
+            "select destIP, count(*) as c from TCP "
+            "where 1000 / (destPort - 443) > 2 group by destIP",
+            low_table_size=2,
+        )
+        with pytest.raises(ZeroDivisionError):
+            self.feed(victim, entry, self.ROWS)
+        self.assert_untouched(victim)
+
+    @pytest.mark.parametrize("entry", ["insert_many", "insert_cols"])
+    def test_raising_aggregate_argument(self, entry):
+        victim = engine(
+            "select destIP, sum(1000 / (destPort - 443)) as s from TCP "
+            "group by destIP",
+            low_table_size=2,
+        )
+        with pytest.raises(ZeroDivisionError):
+            self.feed(victim, entry, self.ROWS)
+        self.assert_untouched(victim)
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+    def test_row_arity_mismatch_rejected(self, cut):
+        rows = make_rows(10)
+        bad = rows[3][:cut] if cut < 0 else rows[3] + ("extra",)
+        victim = engine(QUERIES[0].values[0])
+        with pytest.raises(QueryError, match="fields"):
+            victim.insert_many(rows[:3] + [bad] + rows[4:])
+        self.assert_untouched(victim)
+
+
 class TestCompileCols:
     ROWS = make_rows(50)
     COLS = to_cols(ROWS)
 
     def both_paths(self, expression):
         columnar = expression.compile_cols(SCHEMA)
-        assert columnar is not None
         per_row = [expression.evaluate(row, SCHEMA) for row in self.ROWS]
         return columnar(self.COLS, len(self.ROWS)), per_row
 
@@ -179,17 +234,33 @@ class TestCompileCols:
             )
             assert out == expected, f"op {op}"
 
-    def test_boolean_op_opts_out(self):
-        expression = BooleanOp(
-            "and",
-            (
-                Comparison("=", Column("proto"), Literal("tcp")),
-                Comparison(">", Column("len"), Literal(100)),
-            ),
-        )
-        assert expression.compile_cols(SCHEMA) is None
+    def test_boolean_op_lifted_form_matches_row_form(self):
+        tcp = Comparison("=", Column("proto"), Literal("tcp"))
+        big = Comparison(">", Column("len"), Literal(100))
+        for expression in (
+            BooleanOp("and", (tcp, big)),
+            BooleanOp("or", (tcp, big)),
+            BooleanOp("not", (big,)),
+        ):
+            out, expected = self.both_paths(expression)
+            assert out == expected, expression.sql()
 
-    def test_nested_tree_containing_boolean_opts_out(self):
+    def test_boolean_op_still_short_circuits(self):
+        # 1000 / (destPort - 443) raises wherever destPort == 443, which
+        # is exactly where the guarding operand decides the result.
+        offset = BinaryOp("-", Column("destPort"), Literal(443))
+        divides = Comparison(
+            ">", BinaryOp("/", Literal(1000), offset), Literal(2)
+        )
+        for expression in (
+            BooleanOp("and", (Comparison("!=", offset, Literal(0)), divides)),
+            BooleanOp("or", (Comparison("=", offset, Literal(0)), divides)),
+        ):
+            assert 443 in self.COLS[3]
+            out, expected = self.both_paths(expression)
+            assert out == expected, expression.sql()
+
+    def test_nested_tree_containing_boolean_matches_row_form(self):
         inner = BooleanOp(
             "or",
             (
@@ -197,9 +268,10 @@ class TestCompileCols:
                 Comparison("=", Column("proto"), Literal("udp")),
             ),
         )
-        assert Comparison("=", inner, Literal(True)).compile_cols(
-            SCHEMA
-        ) is None
+        out, expected = self.both_paths(
+            Comparison("=", inner, Literal(True))
+        )
+        assert out == expected
 
 
 class TestValidateCols:

@@ -136,6 +136,47 @@ class TestRecordedMetrics:
         assert snap["engine.query.ingest.selected"]["raw_total"] == tcp
         assert snap["engine.query.ingest.latency_us"]["count"] == len(rows)
 
+    @pytest.mark.parametrize("entry", ["process", "insert_many", "insert_cols"])
+    def test_every_entry_point_counted_once(self, entry):
+        rows = make_rows()
+        metrics = MetricsRegistry(enabled=True)
+        engine = QueryEngine(
+            parse_query(SQL, default_registry()),
+            SCHEMA,
+            low_table_size=2,
+            emit_on_bucket_change=True,
+            metrics=metrics,
+        )
+        for begin in range(0, len(rows), 64):
+            chunk = rows[begin : begin + 64]
+            if entry == "process":
+                for row in chunk:
+                    engine.process(row)
+            elif entry == "insert_many":
+                engine.insert_many(chunk)
+            else:
+                engine.insert_cols([list(col) for col in zip(*chunk)])
+        emitted = len(engine.flush())
+        reference = QueryEngine(
+            parse_query(SQL, default_registry()),
+            SCHEMA,
+            low_table_size=2,
+            emit_on_bucket_change=True,
+        )
+        for row in rows:
+            reference.process(row)
+        assert emitted == len(reference.flush()) > 0
+        assert engine.low_evictions == reference.low_evictions > 0
+        snap = metrics.snapshot()["metrics"]
+        tcp = sum(1 for row in rows if row[5] == "tcp")
+        assert snap["engine.query.ingest.tuples"]["raw_total"] == len(rows)
+        assert snap["engine.query.ingest.selected"]["raw_total"] == tcp
+        assert (
+            snap["engine.query.low_table.evictions"]["raw_total"]
+            == engine.low_evictions
+        )
+        assert snap["engine.query.rows.emitted"]["raw_total"] == emitted
+
     def test_hot_keys_track_group_keys_not_time_buckets(self):
         metrics = MetricsRegistry(enabled=True)
         run_engine(metrics=metrics)

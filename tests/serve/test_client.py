@@ -3,11 +3,62 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import socket
+import threading
 
 import pytest
 
-from repro.serve import AsyncServeClient, RemoteError, ServeClient
+from repro.serve import AsyncServeClient, RemoteError, ServeClient, protocol
 from tests.serve.util import SQL, canon, expected_rows, make_rows, serve
+
+
+@contextlib.contextmanager
+def error_then_credit_server():
+    """A one-connection server that rejects the first batch by sending
+    ERROR and its CREDIT in a single ``sendall``, then answers BYE."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def script() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            decoder = protocol.FrameDecoder()
+
+            def read_frame():
+                while True:
+                    for frame in decoder.frames():
+                        return frame
+                    data = conn.recv(65536)
+                    if not data:
+                        return None
+                    decoder.feed(data)
+
+            assert read_frame().ftype == protocol.HELLO
+            conn.sendall(protocol.encode_frame(
+                protocol.WELCOME,
+                {"wire_version": protocol.WIRE_VERSION, "credits": 1},
+            ))
+            read_frame()  # the batch to reject
+            conn.sendall(
+                protocol.encode_frame(
+                    protocol.ERROR, {"code": "bad-rows", "message": "no"}
+                )
+                + protocol.encode_frame(protocol.CREDIT, {"seq": 1})
+            )
+            frame = read_frame()
+            if frame is not None and frame.ftype == protocol.BYE:
+                conn.sendall(protocol.encode_frame(protocol.GOODBYE, {}))
+
+    thread = threading.Thread(target=script, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=15)
+        listener.close()
+    assert not thread.is_alive()
 
 
 class TestSyncClient:
@@ -38,6 +89,18 @@ class TestSyncClient:
                 # the failed batch returned its credit
                 client.flush()
                 assert client.credits == client.window
+
+    def test_credit_behind_error_in_one_chunk_is_absorbed(self):
+        with error_then_credit_server() as (host, port):
+            with ServeClient(host, port, timeout_s=5) as client:
+                client.insert([(1,)])
+                with pytest.raises(RemoteError) as excinfo:
+                    client.flush()
+                assert excinfo.value.code == "bad-rows"
+                # The CREDIT arrived in the same chunk as the ERROR: the
+                # window is already whole, so this returns without a read.
+                client.flush()
+                assert client.credits == client.window == 1
 
     def test_wire_version_mismatch_raises_at_connect(self, monkeypatch):
         from repro.serve.client import _ClientCore
@@ -99,6 +162,21 @@ class TestAsyncClient:
 
         with serve() as server:
             assert self.run(scenario(server.host, server.port)) == "bad-rows"
+
+    def test_credit_behind_error_in_one_chunk_is_absorbed(self):
+        async def scenario(host, port):
+            client = await AsyncServeClient.connect(host, port)
+            try:
+                await client.insert([(1,)])
+                with pytest.raises(RemoteError) as excinfo:
+                    await client.flush()
+                await asyncio.wait_for(client.flush(), timeout=5)
+                return excinfo.value.code, client.credits, client.window
+            finally:
+                await client.close()
+
+        with error_then_credit_server() as (host, port):
+            assert self.run(scenario(host, port)) == ("bad-rows", 1, 1)
 
     def test_results_match_sync_client(self):
         rows = make_rows(40)
