@@ -75,7 +75,7 @@ def _time_cluster(trace, nodes: int, batch_size: int, repeats: int):
     """Ingest + query through an N-node cluster.
 
     Returns ``(rows/s, canonical results)``; the results come from the
-    coordinator's PARTIALS fan-out and local merge_all fold.
+    coordinator's PARTIALS fan-out and local ``ShardPlan.fold``.
     """
     rates, served = [], None
     for __ in range(repeats):

@@ -28,17 +28,13 @@ transposing its rows.
 from __future__ import annotations
 
 import json
+import struct
 
 from typing import Callable, Iterable, Iterator
 
-from repro.core.errors import MergeError, QueryError
-from repro.core.protocol import (
-    StreamSummary,
-    decode_number,
-    encode_number,
-    tag_key,
-    untag_key,
-)
+from repro.core.cols import pack_cols, unpack_cols
+from repro.core.errors import MergeError, ProtocolError, QueryError, StoreError
+from repro.core.protocol import decode_number, tag_key, untag_key
 from repro.dsms.parser import Query, SelectItem
 from repro.dsms.schema import Schema
 
@@ -48,7 +44,10 @@ ResultRow = dict[str, object]
 
 #: Version byte leading every :meth:`QueryEngine.partial_state_bytes` buffer;
 #: bumped whenever the partial-state layout changes.
-PARTIAL_STATE_VERSION = 1
+PARTIAL_STATE_VERSION = 2
+
+#: Version byte and JSON header byte count leading a partial-state buffer.
+_PARTIAL_HEAD = struct.Struct("!BI")
 
 
 class _AggPlan:
@@ -142,6 +141,12 @@ class QueryEngine:
         )
         self._select_order = tuple(item.alias for item in query.select)
         self._all_mergeable = all(p.udaf.mergeable for p in self._agg_plans)
+        # Scalar slots per builtin state in a partial-state snapshot; 0
+        # marks a sketch/sampler state, shipped as one serde column.
+        self._state_widths = tuple(
+            len(p.udaf.create()) if p.udaf.mergeable else 0
+            for p in self._agg_plans
+        )
         self.two_level = two_level and self._all_mergeable and bool(self._agg_plans)
         self.low_table_size = low_table_size
         self._emit_on_bucket_change = emit_on_bucket_change and bool(self._group_fns)
@@ -731,153 +736,219 @@ class QueryEngine:
 
     # -- partial state (Section VI-B at engine granularity) -----------------------
 
-    def partial_state(self) -> dict:
-        """Flush-consistent snapshot of all live group state, mergeable.
+    def partial_state_bytes(self) -> bytes:
+        """Flush-consistent, mergeable snapshot of all live group state.
 
         This is the shard-worker half of the paper's distributed story:
         per-site summaries computed for the same decay function and
         landmark merge exactly, so a parallel engine ships *state*, not
-        tuples, at query time.  The snapshot covers every aggregate the
-        engine supports:
+        tuples, at query time.  Layout (integers network order)::
 
-        * mergeable builtin states (plain scalar lists) are embedded
-          directly;
-        * sketch/sampler UDAF states (:class:`StreamSummary` subclasses)
-          go through :func:`repro.core.serde.dump_summary`, the same
-          versioned payload as checkpointing.
+            version: u8 | header bytes: u32 | JSON header | pack_cols body
 
-        The low-level table is drained upward first, so the snapshot is
-        identical whether the engine ran single- or two-level and the
-        engine keeps ingesting afterwards with unchanged results.  Open
-        time buckets are recorded (not emitted): merging partials must not
-        split a bucket's emission, exactly like the heartbeat rule.
+        The header records the query text, schema, per-aggregate state
+        widths, group count, open bucket and tuple counters.  The body is
+        one :func:`repro.core.cols.pack_cols` batch with a row per group
+        (sorted by ``repr`` of the key): one column per GROUP BY key part,
+        then one column per scalar slot of each builtin state (count
+        ``[n]``, sum ``[x]``, avg ``[x, n]``, min/max ``[v]``; width 0
+        marks a summary) and one column of
+        :func:`repro.core.serde.dump_summary` JSON text per sketch/sampler
+        state.  The codec keeps int/float/bool/None/str identity and
+        non-finite floats exact.
+
+        Low-level partials are merged into copies of their high-level
+        states, exactly as draining the low table would, so the snapshot
+        is identical whether the engine ran single- or two-level.  The
+        engine itself is left untouched: it keeps ingesting with the
+        results and statistics it would have had without the snapshot.  A
+        store-backed engine splices its cold groups' stored encodings in
+        without faulting them back, and produces the same bytes as the
+        all-RAM engine.  Open time buckets are recorded (not emitted):
+        merging partials must not split a bucket's emission, exactly like
+        the heartbeat rule.
         """
         from repro.core.serde import dump_summary
 
-        self._drain_low()
-        store = self._store
-        if store is None:
-            snapshot_keys = sorted(self._high, key=repr)
-        else:
-            union = set(self._high)
-            union.update(store.cold_key_set())
-            snapshot_keys = sorted(union, key=repr)
+        high, low, store = self._high, self._low, self._store
+        union = set(high)
+        union.update(low)
+        cold = set(store.cold_key_set()) if store is not None else ()
+        union.update(cold)
+        keys = sorted(union, key=repr)
         groups = []
-        for key in snapshot_keys:
-            states = dict.get(self._high, key)
-            if states is None:
-                # Cold group: splice its stored encodings verbatim — they
-                # are the same representation this loop would produce, so
-                # no decode/re-encode round-trip (and no fault-in; the
-                # snapshot is non-destructive).
-                encoded = store.encoded_states(key)
+        for key in keys:
+            states = dict.get(high, key)
+            if states is None and key in cold:
+                # Cold group: splice its stored encodings — no fault-in,
+                # the snapshot leaves the engine as it was.
+                states = _from_stored(store.encoded_states(key))
+            partial = low.get(key)
+            if partial is not None:
+                if states is None:
+                    states = partial
+                else:
+                    # What draining the low table would produce, built on
+                    # copies so the engine's own update order is kept.
+                    states = [list(state) for state in states]
+                    for plan, mine, theirs in zip(
+                        self._agg_plans, states, partial
+                    ):
+                        plan.udaf.merge(mine, theirs)
+            groups.append(states)
+        cols = _transpose(keys, len(self._group_fns))
+        for width, states in zip(
+            self._state_widths, _transpose(groups, len(self._agg_plans))
+        ):
+            if width:
+                cols.extend(_transpose(states, width))
             else:
-                encoded = []
-                for state in states:
-                    if isinstance(state, StreamSummary):
-                        encoded.append(["summary", dump_summary(state)])
-                    else:
-                        encoded.append(
-                            ["plain", [encode_number(v) for v in state]]
-                        )
-            groups.append([[tag_key(part) for part in key], encoded])
-        return {
-            "version": PARTIAL_STATE_VERSION,
-            "query": self.query.sql(),
-            "schema": self.schema.names(),
-            "groups": groups,
-            "bucket": (None if self._current_bucket is _NO_BUCKET
-                       else [tag_key(self._current_bucket)]),
-            "tuples_in": self._tuples_in,
-            "tuples_selected": self._tuples_selected,
-            "low_evictions": self._low_evictions,
-        }
-
-    def partial_state_bytes(self) -> bytes:
-        """:meth:`partial_state` as a versioned wire buffer.
-
-        Layout mirrors :meth:`repro.core.protocol.StreamSummary.to_bytes`:
-        one version byte followed by a UTF-8 JSON body.  This is what shard
-        workers ship to the merge site.
-        """
-        body = json.dumps(
-            self.partial_state(), separators=(",", ":"), allow_nan=False
+                cols.append([
+                    state if type(state) is str
+                    else _summary_text(dump_summary(state))
+                    for state in states
+                ])
+        header = json.dumps(
+            {
+                "query": self.query.sql(),
+                "schema": self.schema.names(),
+                "widths": list(self._state_widths),
+                "groups": len(keys),
+                "bucket": (None if self._current_bucket is _NO_BUCKET
+                           else [tag_key(self._current_bucket)]),
+                "tuples_in": self._tuples_in,
+                "tuples_selected": self._tuples_selected,
+                "low_evictions": self._low_evictions,
+            },
+            separators=(",", ":"),
+            allow_nan=False,
+        ).encode("utf-8")
+        return (
+            _PARTIAL_HEAD.pack(PARTIAL_STATE_VERSION, len(header))
+            + header
+            + pack_cols(cols)
         )
-        return bytes([PARTIAL_STATE_VERSION]) + body.encode("utf-8")
 
-    def merge_partial(self, data: dict | bytes | bytearray) -> None:
-        """Fold a :meth:`partial_state` snapshot into this engine.
+    def merge_partial(self, data: bytes | bytearray | memoryview) -> None:
+        """Fold a :meth:`partial_state_bytes` snapshot into this engine.
 
-        Accepts either the dict or the :meth:`partial_state_bytes` buffer.
         Group states merge pairwise: builtin states via their UDAF's
         ``merge``, summary states via :meth:`StreamSummary.merge` — which
         is where decay-function/landmark compatibility is enforced, as the
         paper requires (any mismatch raises
-        :class:`~repro.core.errors.MergeError`).  Snapshots of a different
-        query or schema are rejected up front.
+        :class:`~repro.core.errors.MergeError`).  Snapshots of another
+        version, query, schema or aggregate plan are rejected before any
+        state is touched, and so is a buffer whose columns do not all
+        hold the declared group count.  Any malformed buffer raises
+        ``MergeError`` and nothing else.
 
         The snapshot's open bucket is adopted only when this engine has
         none (the fresh-restore case); merging shards never closes a
         bucket.  Tuple counters accumulate, so engine statistics reflect
         the union of the merged substreams.
         """
-        from repro.core.serde import load_summary
-
-        if isinstance(data, (bytes, bytearray)):
-            if not data:
-                raise MergeError("cannot merge an empty partial-state buffer")
-            if data[0] != PARTIAL_STATE_VERSION:
-                raise MergeError(
-                    f"unsupported partial-state version {data[0]} "
-                    f"(expected {PARTIAL_STATE_VERSION})"
-                )
-            try:
-                data = json.loads(bytes(data[1:]).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise MergeError(f"malformed partial-state buffer: {exc}") from exc
-        if data.get("version") != PARTIAL_STATE_VERSION:
-            raise MergeError(
-                f"unsupported partial-state version {data.get('version')!r}"
+        try:
+            header, keys, groups = self._decode_partial(data)
+            self._drain_low()
+            high = self._high
+            mergers = tuple(
+                plan.udaf.merge if plan.udaf.mergeable else None
+                for plan in self._agg_plans
             )
-        if data.get("query") != self.query.sql():
-            raise MergeError(
-                "partial state is for a different query: "
-                f"{data.get('query')!r} vs {self.query.sql()!r}"
-            )
-        if data.get("schema") != self.schema.names():
-            raise MergeError(
-                "partial state is for a different schema: "
-                f"{data.get('schema')!r} vs {self.schema.names()!r}"
-            )
-        self._drain_low()
-        high = self._high
-        for key_tags, encoded in data["groups"]:
-            key = tuple(untag_key(tag) for tag in key_tags)
-            theirs = [
-                load_summary(payload) if kind == "summary"
-                else [decode_number(v) for v in payload]
-                for kind, payload in encoded
-            ]
-            mine = high.get(key)
-            if mine is None:
-                high[key] = theirs
-                continue
-            for plan, own, other in zip(self._agg_plans, mine, theirs):
-                if plan.udaf.mergeable:
-                    plan.udaf.merge(own, other)
-                elif isinstance(own, StreamSummary):
-                    own.merge(other)
-                else:  # pragma: no cover - no such UDAF ships today
-                    raise MergeError(
-                        f"aggregate {plan.alias!r} has unmergeable state "
-                        f"{type(own).__name__}"
-                    )
-        bucket = data.get("bucket")
+            for key, theirs in zip(keys, groups):
+                mine = high.get(key)
+                if mine is None:
+                    high[key] = theirs
+                    continue
+                for merge, own, other in zip(mergers, mine, theirs):
+                    if merge is None:
+                        own.merge(other)
+                    else:
+                        merge(own, other)
+        except (MergeError, StoreError):
+            raise
+        except (ProtocolError, struct.error, ValueError, KeyError,
+                IndexError, TypeError, AttributeError) as exc:
+            # ValueError covers the JSON and UTF-8 decode errors.
+            raise MergeError(f"malformed partial-state buffer: {exc}") from exc
+        bucket = header["bucket"]
         if bucket is not None and self._current_bucket is _NO_BUCKET:
             self._current_bucket = untag_key(bucket[0])
-        self._tuples_in += data["tuples_in"]
-        self._tuples_selected += data["tuples_selected"]
-        self._low_evictions += data["low_evictions"]
+        self._tuples_in += header["tuples_in"]
+        self._tuples_selected += header["tuples_selected"]
+        self._low_evictions += header["low_evictions"]
+
+    def _decode_partial(self, data) -> tuple[dict, list, list]:
+        """Validate and decode a snapshot → ``(header, keys, states)``."""
+        from repro.core.serde import load_summary
+
+        view = memoryview(data).cast("B")
+        if not len(view):
+            raise MergeError("cannot merge an empty partial-state buffer")
+        if view[0] != PARTIAL_STATE_VERSION:
+            raise MergeError(
+                f"unsupported partial-state version {view[0]} "
+                f"(this build reads version {PARTIAL_STATE_VERSION})"
+            )
+        _, size = _PARTIAL_HEAD.unpack_from(view, 0)
+        start = _PARTIAL_HEAD.size + size
+        if start > len(view):
+            raise MergeError("truncated partial-state header")
+        header = json.loads(str(view[_PARTIAL_HEAD.size:start], "utf-8"))
+        if type(header) is not dict:
+            raise MergeError("partial-state header is not an object")
+        if header["query"] != self.query.sql():
+            raise MergeError(
+                "partial state is for a different query: "
+                f"{header['query']!r} vs {self.query.sql()!r}"
+            )
+        if header["schema"] != self.schema.names():
+            raise MergeError(
+                "partial state is for a different schema: "
+                f"{header['schema']!r} vs {self.schema.names()!r}"
+            )
+        widths = list(self._state_widths)
+        if header["widths"] != widths:
+            raise MergeError(
+                f"partial-state widths {header['widths']!r} do not match "
+                f"this engine's aggregate plan {widths!r}"
+            )
+        for name in ("groups", "tuples_in", "tuples_selected",
+                     "low_evictions"):
+            if type(header[name]) is not int or header[name] < 0:
+                raise MergeError(
+                    f"bad partial-state {name}: {header[name]!r}"
+                )
+        if header["bucket"] is not None:
+            untag_key(header["bucket"][0])
+        cols, _, rows = unpack_cols(view[start:])
+        nkeys = len(self._group_fns)
+        expected = nkeys + sum(width or 1 for width in widths)
+        if len(cols) != expected:
+            raise MergeError(
+                f"partial state has {len(cols)} columns, expected {expected}"
+            )
+        count = header["groups"]
+        if (rows != count) if cols else (count > 1):
+            raise MergeError(
+                f"partial state declares {count} groups, its columns "
+                f"hold {rows if cols else 'at most 1'}"
+            )
+        keys = list(zip(*cols[:nkeys])) if nkeys else [()] * count
+        per_agg = []
+        pos = nkeys
+        for width in widths:
+            if width:
+                per_agg.append(list(map(list, zip(*cols[pos:pos + width]))))
+                pos += width
+            else:
+                per_agg.append([
+                    load_summary(json.loads(text)) for text in cols[pos]
+                ])
+                pos += 1
+        groups = (list(map(list, zip(*per_agg))) if per_agg
+                  else [[] for _ in range(count)])
+        return header, keys, groups
 
     def merge(self, other: "QueryEngine") -> None:
         """Absorb another engine's live state (same query and schema).
@@ -885,15 +956,14 @@ class QueryEngine:
         Makes engines themselves :class:`~repro.core.merge.Mergeable`, so a
         list of per-shard engines folds with
         :func:`repro.core.merge.merge_all` like any other summary.  Routed
-        through the partial-state encoding — one code path for in-process
-        and cross-process merging.  ``other`` keeps its state (its low
-        table is drained upward, which does not change its results).
+        through :meth:`partial_state_bytes` — one code path for in-process
+        and cross-process merging.  ``other`` is left untouched.
         """
         if not isinstance(other, QueryEngine):
             raise MergeError(
                 f"cannot merge {type(other).__name__} into QueryEngine"
             )
-        self.merge_partial(other.partial_state())
+        self.merge_partial(other.partial_state_bytes())
 
     def state_size_bytes(self) -> int:
         """Total aggregate state held, summed over groups and levels."""
@@ -918,6 +988,29 @@ class _NoBucket:
 
 
 _NO_BUCKET = _NoBucket()
+
+
+def _transpose(rows: list, width: int) -> list:
+    """Rows of ``width`` values → ``width`` columns (also when no rows)."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _summary_text(envelope: dict) -> str:
+    """A :func:`~repro.core.serde.dump_summary` envelope as snapshot text."""
+    return json.dumps(envelope, separators=(",", ":"), allow_nan=False)
+
+
+def _from_stored(encoded: list) -> list:
+    """A cold group's stored encodings → its snapshot column values.
+
+    Scalars decode back to the live state's values; summary envelopes
+    become their snapshot text directly, never instantiated.
+    """
+    return [
+        _summary_text(payload) if kind == "summary"
+        else [decode_number(v) for v in payload]
+        for kind, payload in encoded
+    ]
 
 
 def run_query(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from itertools import chain
 
 from repro.core.errors import EmptySummaryError, MergeError, QueryError
 from repro.sampling.aggarwal import AggarwalBiasedReservoir
@@ -195,9 +196,13 @@ class MinUdaf(Udaf):
     def update_many(self, state: list, args_batch: list[tuple]) -> None:
         if not args_batch:
             return
-        best = min(args[0] for args in args_batch)
-        if state[0] is None or best < state[0]:
-            state[0] = best
+        # The builtin keeps its running best unless an item beats it,
+        # exactly the per-tuple rule, NaN included — so the current state
+        # leads the scan instead of being compared afterwards.
+        values = (args[0] for args in args_batch)
+        if state[0] is not None:
+            values = chain((state[0],), values)
+        state[0] = min(values)
 
     def merge(self, state: list, other: list) -> None:
         if other[0] is not None and (state[0] is None or other[0] < state[0]):
@@ -225,9 +230,13 @@ class MaxUdaf(Udaf):
     def update_many(self, state: list, args_batch: list[tuple]) -> None:
         if not args_batch:
             return
-        best = max(args[0] for args in args_batch)
-        if state[0] is None or best > state[0]:
-            state[0] = best
+        # The builtin keeps its running best unless an item beats it,
+        # exactly the per-tuple rule, NaN included — so the current state
+        # leads the scan instead of being compared afterwards.
+        values = (args[0] for args in args_batch)
+        if state[0] is not None:
+            values = chain((state[0],), values)
+        state[0] = max(values)
 
     def merge(self, state: list, other: list) -> None:
         if other[0] is not None and (state[0] is None or other[0] > state[0]):

@@ -11,9 +11,10 @@ process granularity:
   the same query text;
 * batches ship over bounded queues (the backpressure boundary) and ingest
   through the engine's batched ``insert_many`` path;
-* queries collect serde-encoded partial states and fold them with
-  :func:`repro.core.merge.merge_all` — landmark/decay compatibility is
-  checked at merge, exactly as the paper requires.
+* queries collect columnar partial-state snapshots and fold them with
+  :meth:`~repro.parallel.worker.ShardPlan.fold` — one collector engine
+  merges every blob in order; landmark/decay compatibility is checked
+  at merge, exactly as the paper requires.
 
 Partitioning by group key means no group is split across shards, but
 correctness does not depend on it: merge-at-query combines same-key
@@ -49,7 +50,6 @@ from typing import Callable, Iterable
 
 from repro.core.cols import pack_cols
 from repro.core.errors import ParameterError, QueryError
-from repro.core.merge import merge_all
 from repro.dsms.engine import QueryEngine, ResultRow
 from repro.dsms.schema import Schema
 from repro.dsms.udaf import UdafRegistry, default_registry
@@ -768,21 +768,15 @@ class ShardedEngine:
     def query(self) -> list[ResultRow]:
         """Merged results over everything ingested so far.
 
-        Collects every shard's partial state, folds the per-shard collector
-        engines with :func:`~repro.core.merge.merge_all`, and finalizes —
-        HAVING / ORDER BY / LIMIT apply to the merged groups, identically
-        to an unsharded flush.  Ingestion may continue afterwards; a later
+        Collects every shard's partial state, folds the blobs into one
+        collector with :meth:`~repro.parallel.worker.ShardPlan.fold`, and
+        finalizes — HAVING / ORDER BY / LIMIT apply to the merged groups,
+        identically to an unsharded flush.  Ingestion may continue afterwards; a later
         ``query()`` reflects the longer prefix (merge-at-query).
         """
         blobs = self.partial_states()
         start = time.perf_counter_ns() if self._obs else 0
-        collectors = []
-        for blob in blobs:
-            collector = self._plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        combined = merge_all(collectors)
-        rows = combined.flush()
+        rows = self._plan.fold(blobs)
         if self._obs:
             elapsed_us = (time.perf_counter_ns() - start) / 1e3
             self._m_merge_us.observe(elapsed_us)

@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.cols import unpack_cols
-from repro.dsms.engine import QueryEngine
+from repro.dsms.engine import QueryEngine, ResultRow
 from repro.dsms.parser import parse_query
 from repro.dsms.schema import Schema
 from repro.dsms.udaf import UdafRegistry, default_registry
@@ -127,6 +127,19 @@ class ShardPlan:
             emit_on_bucket_change=self.emit_on_bucket_change,
             store=store,
         )
+
+    def fold(self, blobs: Iterable[bytes]) -> list[ResultRow]:
+        """Merge-at-query: fold partial-state blobs and finalize them.
+
+        One collector engine from :meth:`build_engine` merges every blob
+        in order, then flushes — HAVING / ORDER BY / LIMIT apply to the
+        merged groups, identically to an unsharded flush.  The sharded,
+        served and cluster tiers all answer queries through this fold.
+        """
+        collector = self.build_engine()
+        for blob in blobs:
+            collector.merge_partial(blob)
+        return collector.flush()
 
 
 def shard_worker_main(

@@ -6,8 +6,9 @@ non-destructive merge-at-query reads, and partial-state checkpoints — so
 
 **Query semantics.**  A served query answers over *everything ingested so
 far* and leaves the engine running: the backend snapshots partial states
-(the Section VI-B mergeable form), folds them into throwaway collector
-engines, and finalizes those.  HAVING / ORDER BY / LIMIT apply to the
+(the Section VI-B mergeable form), folds them into one throwaway
+collector engine (:meth:`~repro.parallel.worker.ShardPlan.fold`), and
+finalizes it.  HAVING / ORDER BY / LIMIT apply to the
 merged whole, exactly like an unsharded flush.  Result order is the
 engine's flush order (group keys sorted by ``repr``).
 
@@ -22,8 +23,7 @@ workers.
 from __future__ import annotations
 
 from repro.core.errors import ParameterError
-from repro.core.merge import merge_all
-from repro.dsms.engine import QueryEngine, ResultRow
+from repro.dsms.engine import ResultRow
 from repro.dsms.schema import Schema
 from repro.parallel.sharded import ShardedEngine, stable_route
 from repro.parallel.worker import ShardPlan
@@ -32,7 +32,7 @@ __all__ = ["SingleEngineBackend", "ShardedBackend", "build_backend"]
 
 
 class _BackendBase:
-    """Shared plumbing: the plan, and blob folding for queries/restores."""
+    """Shared plumbing: the plan every query folds blobs through."""
 
     kind = "?"
 
@@ -40,16 +40,6 @@ class _BackendBase:
         self._plan = plan
         self.sql = plan.build_engine().query.sql()
         self.schema: Schema = plan.schema
-
-    def _fold(self, blobs: list[bytes]) -> list[ResultRow]:
-        collectors = []
-        for blob in blobs:
-            collector = self._plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        if not collectors:
-            return []
-        return merge_all(collectors).flush()
 
     def checkpoint_blobs(self) -> list[bytes]:
         """The blobs a graceful-shutdown checkpoint should persist.
@@ -102,7 +92,7 @@ class SingleEngineBackend(_BackendBase):
 
     def query(self) -> list[ResultRow]:
         """Merged results over everything ingested so far (non-destructive)."""
-        return self._fold([self._engine.partial_state_bytes()])
+        return self._plan.fold([self._engine.partial_state_bytes()])
 
     def partial_blobs(self) -> list[bytes]:
         """The engine's partial state, as a one-element blob list."""
@@ -203,7 +193,7 @@ class ShardedBackend(_BackendBase):
 
     def query(self) -> list[ResultRow]:
         """Merged results over restored + live shard states."""
-        return self._fold(self.partial_blobs())
+        return self._plan.fold(self.partial_blobs())
 
     def partial_blobs(self) -> list[bytes]:
         """Restored checkpoint blobs plus live per-shard states."""

@@ -656,8 +656,8 @@ class ServeClient(_ClientCore):
         """The server backend's partial-state blobs (mergeable, exact).
 
         What a cluster coordinator fans out to every node and folds with
-        :func:`repro.core.merge.merge_all`; the node keeps its state and
-        keeps ingesting.
+        :meth:`repro.parallel.worker.ShardPlan.fold`; the node keeps its
+        state and keeps ingesting.
         """
 
         def ask() -> list[bytes]:

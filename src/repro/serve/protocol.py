@@ -67,8 +67,9 @@ INSERT_COLS 16   client → srv binary columnar batch (wire version >= 2);
                               same credit/seq semantics as INSERT
 PARTIALS   17    client → srv (empty) request the backend's partial-state
                               blobs (the Section VI-B mergeable form)
-PARTIALS_OK 18   srv → client ``blobs`` (hex), ``tuples_in`` — what a
-                              cluster router folds with ``merge_all``
+PARTIALS_OK 18   srv → client ``blobs`` (hex), ``tuples_in`` — columnar
+                              partial-state snapshots (version 2) a
+                              cluster router folds with ``ShardPlan.fold``
 ADOPT      19    client → srv ``blobs`` (hex) — fold foreign partial
                               states into this backend (shard rebalance)
 ADOPT_OK   20    srv → client ``adopted`` — blob count folded in

@@ -1,8 +1,8 @@
 """Append-only segment files: the cold tier's on-disk record format.
 
 A segment holds serialized group states — the same versioned serde
-payloads that :meth:`~repro.dsms.engine.QueryEngine.partial_state`
-ships between shards — in a crash-evident, random-access layout:
+payloads that :meth:`~repro.dsms.engine.QueryEngine.partial_state_bytes`
+carries between shards — in a crash-evident, random-access layout:
 
 ``header``
     ``b"RSEG"`` magic plus one format-version byte.
@@ -15,9 +15,9 @@ ships between shards — in a crash-evident, random-access layout:
     ``q``/``d`` exactly like :mod:`repro.core.cols`; summaries as their
     :meth:`~repro.core.protocol.StreamSummary.to_bytes` serde buffer).
     Keys use :func:`repro.core.protocol.tag_key`, states use the
-    ``partial_state`` group encoding (``["plain", ...]`` scalars or
-    ``["summary", ...]`` serde envelopes), so a record folds into any
-    engine running the same query with zero re-encoding — both body
+    per-group state encoding (``["plain", ...]`` scalars or
+    ``["summary", ...]`` serde envelopes), which a partial-state
+    snapshot splices in without instantiating a summary — both body
     versions decode to the identical record dict.
 ``footer``
     A length+CRC framed index.  Version 1: JSON mapping the canonical

@@ -1,16 +1,20 @@
 """Engine partial-state snapshots: the shard-merge half of Section VI-B.
 
-``QueryEngine.partial_state()`` / ``merge_partial()`` are what
+``QueryEngine.partial_state_bytes()`` / ``merge_partial()`` are what
 ``repro.parallel`` ships between shard workers and the merge site, so
 these tests pin down the contract: a snapshot restored into a fresh
-engine (optionally via the wire encoding) and merged with the other
-substreams' snapshots must equal direct single-engine ingestion.
+engine and merged with the other substreams' snapshots must equal direct
+single-engine ingestion, and a malformed snapshot raises ``MergeError``.
 """
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
+from repro.core.cols import pack_cols, unpack_cols
 from repro.core.errors import MergeError
 from repro.core.merge import merge_all
 from repro.dsms.engine import PARTIAL_STATE_VERSION, QueryEngine
@@ -62,14 +66,33 @@ def ingest_all(engine: QueryEngine, rows) -> QueryEngine:
     return engine
 
 
+_HEAD = struct.Struct("!BI")
+
+
+def split_blob(blob: bytes) -> tuple[dict, list]:
+    """A snapshot → its JSON header and its decoded columns."""
+    _, size = _HEAD.unpack_from(blob, 0)
+    header = json.loads(blob[_HEAD.size:_HEAD.size + size])
+    cols, _, _ = unpack_cols(blob[_HEAD.size + size:])
+    return header, cols
+
+
+def build_blob(header: dict, cols: list | bytes,
+               version: int = PARTIAL_STATE_VERSION) -> bytes:
+    """Assemble a snapshot from a header and columns (or a packed body)."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    body = cols if isinstance(cols, bytes) else pack_cols(cols)
+    return _HEAD.pack(version, len(head)) + head + body
+
+
 class TestRoundTrip:
     def test_snapshot_restore_equals_direct(self):
         rows = make_rows()
         direct = ingest_all(build_engine(), rows)
 
-        snapshot = ingest_all(build_engine(), rows).partial_state()
+        snapshot = ingest_all(build_engine(), rows).partial_state_bytes()
         restored = build_engine()
-        restored.merge_partial(snapshot)
+        restored.merge_partial(memoryview(snapshot))
 
         assert restored.flush() == direct.flush()
 
@@ -102,7 +125,7 @@ class TestRoundTrip:
     def test_snapshot_is_non_destructive(self):
         rows = make_rows()
         engine = ingest_all(build_engine(), rows[:100])
-        engine.partial_state()  # mid-stream snapshot
+        engine.partial_state_bytes()  # mid-stream snapshot
         engine.insert_many(rows[100:])
         assert engine.flush() == ingest_all(build_engine(), rows).flush()
 
@@ -115,16 +138,18 @@ class TestTwoLevelAndBuckets:
         donor = ingest_all(build_engine(low_table_size=2), rows)
         assert donor.low_evictions > 0  # the snapshot drains a hot low table
         restored = build_engine(low_table_size=2)
-        restored.merge_partial(donor.partial_state())
+        restored.merge_partial(donor.partial_state_bytes())
 
         assert restored.flush() == direct.flush()
         assert restored.low_evictions == donor.low_evictions
 
     def test_single_level_snapshot_matches_two_level(self):
         rows = make_rows()
-        one = ingest_all(build_engine(two_level=False), rows).partial_state()
-        two = ingest_all(build_engine(two_level=True), rows).partial_state()
-        assert one["groups"] == two["groups"]
+        one = ingest_all(build_engine(two_level=False), rows)
+        two = ingest_all(build_engine(two_level=True), rows)
+        assert split_blob(one.partial_state_bytes())[1] == split_blob(
+            two.partial_state_bytes()
+        )[1]
 
     def test_open_bucket_survives_round_trip(self):
         sql = (
@@ -139,7 +164,7 @@ class TestTwoLevelAndBuckets:
         donor.insert_many(rows)
         donor.drain()  # bucket 0 already emitted by the donor
         restored = build_engine(sql, emit_on_bucket_change=True)
-        restored.merge_partial(donor.partial_state())
+        restored.merge_partial(donor.partial_state_bytes())
 
         # The open bucket was adopted, not emitted: feeding the next
         # bucket's first tuple closes it exactly as in the donor.
@@ -155,7 +180,7 @@ class TestTwoLevelAndBuckets:
         left.process((130, "s0", "h0", 80, 10, "tcp"))  # bucket 2 open
         right = build_engine(sql, emit_on_bucket_change=True)
         right.process((70, "s0", "h0", 80, 10, "tcp"))  # bucket 1 open
-        left.merge_partial(right.partial_state())
+        left.merge_partial(right.partial_state_bytes())
         # left already had a bucket: the snapshot's must not replace it.
         assert left.drain() == []
         rows = left.flush()
@@ -222,19 +247,24 @@ class TestRejection:
                              "group by destIP")
         donor.process(make_rows(1)[0])
         with pytest.raises(MergeError, match="different query"):
-            build_engine().merge_partial(donor.partial_state())
+            build_engine().merge_partial(donor.partial_state_bytes())
 
     def test_rejects_other_schema(self):
-        snapshot = build_engine().partial_state()
-        snapshot["schema"] = ["a", "b"]
+        header, cols = split_blob(build_engine().partial_state_bytes())
+        header["schema"] = ["a", "b"]
         with pytest.raises(MergeError, match="different schema"):
-            build_engine().merge_partial(snapshot)
+            build_engine().merge_partial(build_blob(header, cols))
 
-    def test_rejects_wrong_dict_version(self):
-        snapshot = build_engine().partial_state()
-        snapshot["version"] = 99
-        with pytest.raises(MergeError, match="version"):
-            build_engine().merge_partial(snapshot)
+    def test_rejects_rebuilt_buffer_with_other_version(self):
+        header, cols = split_blob(build_engine().partial_state_bytes())
+        with pytest.raises(MergeError, match="version 3"):
+            build_engine().merge_partial(build_blob(header, cols, version=3))
+
+    def test_rejects_version_one_naming_both_versions(self):
+        # A version-1 (JSON body) buffer from an older build.
+        old = bytes([1]) + json.dumps({"version": 1, "groups": []}).encode()
+        with pytest.raises(MergeError, match=r"version 1 .*version 2"):
+            build_engine().merge_partial(old)
 
     def test_rejects_wrong_wire_version(self):
         blob = build_engine().partial_state_bytes()
@@ -246,10 +276,14 @@ class TestRejection:
             build_engine().merge_partial(b"")
 
     def test_rejects_malformed_body(self):
+        header, _ = split_blob(build_engine().partial_state_bytes())
+        head = b"{not json"
         with pytest.raises(MergeError, match="malformed"):
             build_engine().merge_partial(
-                bytes([PARTIAL_STATE_VERSION]) + b"{not json"
+                _HEAD.pack(PARTIAL_STATE_VERSION, len(head)) + head
             )
+        with pytest.raises(MergeError, match="malformed"):
+            build_engine().merge_partial(build_blob(header, b"\x01garbage"))
 
     def test_incompatible_sketch_parameters_raise(self):
         sql = "select proto, fwd_hh(destIP, len) as hh from TCP group by proto"
@@ -263,7 +297,7 @@ class TestRejection:
         # Same query text, different sketch capacity: the summary-level
         # compatibility check must catch it at merge time.
         with pytest.raises(MergeError, match="capacity mismatch"):
-            left.merge_partial(right.partial_state())
+            left.merge_partial(right.partial_state_bytes())
 
 
 class TestCounters:
@@ -271,6 +305,106 @@ class TestCounters:
         rows = make_rows()
         left = ingest_all(build_engine(), rows[:80])
         right = ingest_all(build_engine(), rows[80:])
-        left.merge_partial(right.partial_state())
+        left.merge_partial(right.partial_state_bytes())
         assert left.tuples_processed == len(rows)
         assert left.tuples_selected == len(rows)
+
+
+class TestMalformedSnapshots:
+    """Snapshots arrive from outside (cluster frames, checkpoint files):
+    every malformed buffer raises ``MergeError`` and nothing else."""
+
+    def donor_blob(self, sql: str = COUNT_SUM_SQL, n: int = 40) -> bytes:
+        return ingest_all(build_engine(sql), make_rows(n)).partial_state_bytes()
+
+    def merge_or_merge_error(self, blob, sql: str = COUNT_SUM_SQL) -> None:
+        engine = build_engine(sql)
+        try:
+            engine.merge_partial(blob)
+        except MergeError:
+            return
+        engine.flush()  # a well-formed corruption merges cleanly
+
+    def test_every_truncation_raises_merge_error(self):
+        blob = self.donor_blob()
+        for end in range(len(blob)):
+            with pytest.raises(MergeError):
+                build_engine().merge_partial(blob[:end])
+
+    def test_every_corrupted_byte_is_rejected_or_merges(self):
+        blob = self.donor_blob(n=20)
+        for offset in range(len(blob)):
+            for value in {blob[offset] ^ 0xFF, blob[offset] ^ 0x01, 0x30}:
+                corrupt = bytearray(blob)
+                corrupt[offset] = value
+                self.merge_or_merge_error(bytes(corrupt))
+
+    def test_corrupted_sketch_header_is_rejected_or_merges(self):
+        sql = "select proto, unary_hh(destIP) as hh from TCP group by proto"
+        blob = self.donor_blob(sql)
+        _, size = _HEAD.unpack_from(blob, 0)
+        for offset in range(_HEAD.size + size + 16):
+            corrupt = bytearray(blob)
+            corrupt[offset] ^= 0xFF
+            self.merge_or_merge_error(bytes(corrupt), sql)
+
+    def test_rejects_wrong_widths(self):
+        header, cols = split_blob(self.donor_blob())
+        header["widths"][0] = 2
+        with pytest.raises(MergeError, match="widths"):
+            build_engine().merge_partial(build_blob(header, cols))
+
+    def test_rejects_wrong_group_count(self):
+        header, cols = split_blob(self.donor_blob())
+        header["groups"] += 1
+        with pytest.raises(MergeError, match="declares"):
+            build_engine().merge_partial(build_blob(header, cols))
+
+    def test_rejects_wrong_column_count(self):
+        header, cols = split_blob(self.donor_blob())
+        with pytest.raises(MergeError, match="columns"):
+            build_engine().merge_partial(build_blob(header, cols[:-1]))
+
+    def test_rejects_non_integer_counter(self):
+        header, cols = split_blob(self.donor_blob())
+        header["tuples_in"] = True
+        with pytest.raises(MergeError, match="tuples_in"):
+            build_engine().merge_partial(build_blob(header, cols))
+
+    def test_rejects_non_buffer(self):
+        with pytest.raises(MergeError):
+            build_engine().merge_partial({"version": 2})
+
+    def test_rejection_leaves_engine_untouched(self):
+        rows = make_rows()
+        engine = ingest_all(build_engine(), rows)
+        header, cols = split_blob(self.donor_blob())
+        header["groups"] += 1
+        with pytest.raises(MergeError):
+            engine.merge_partial(build_blob(header, cols))
+        assert engine.tuples_processed == len(rows)
+        assert engine.flush() == ingest_all(build_engine(), rows).flush()
+
+
+class TestSingleFold:
+    def test_fold_equals_merge_all_with_sketch(self):
+        from repro.parallel.worker import ShardPlan
+
+        sql = (
+            "select proto, count(*) as c, fwd_hh(destIP, len) as hh "
+            "from TCP group by proto"
+        )
+        rows = make_rows(300)
+        shards = [build_engine(sql) for __ in range(3)]
+        for index, row in enumerate(rows):
+            shards[index % 3].process(row)
+        blobs = [shard.partial_state_bytes() for shard in shards]
+
+        collectors = []
+        for blob in blobs:
+            collector = build_engine(sql)
+            collector.merge_partial(blob)
+            collectors.append(collector)
+        expected = merge_all(collectors).flush()
+
+        assert ShardPlan(sql, SCHEMA).fold(blobs) == expected

@@ -68,6 +68,26 @@ class TestBuiltins:
         assert udaf.finalize(state) == pytest.approx(3.0)
         assert udaf.finalize(udaf.create()) is None
 
+    @pytest.mark.parametrize("udaf", [MinUdaf(), MaxUdaf()])
+    def test_min_max_update_many_matches_update_with_nan(self, udaf):
+        # NaN compares false both ways, so the outcome depends on scan
+        # order: the batch must scan from the current state, as update does.
+        nan = float("nan")
+        for start, batch in (
+            (5.0, [nan, 3.0, 9.0]),
+            (nan, [3.0, 9.0]),
+            (None, [nan, 3.0]),
+            (1.0, [nan]),
+        ):
+            one, many = udaf.create(), udaf.create()
+            if start is not None:
+                udaf.update(one, (start,))
+                udaf.update(many, (start,))
+            for value in batch:
+                udaf.update(one, (value,))
+            udaf.update_many(many, [(value,) for value in batch])
+            assert repr(many) == repr(one), (start, batch)
+
     def test_builtins_are_mergeable(self):
         for udaf in (CountUdaf(), SumUdaf(), MinUdaf(), MaxUdaf(), AvgUdaf()):
             assert udaf.mergeable

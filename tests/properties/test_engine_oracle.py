@@ -9,9 +9,21 @@ operation, the same ``flush()``, and the same statistics.  Forward decay
 makes this an equality, not a tolerance: each item's weight is fixed at
 arrival, so only the order of updates could change a result, and the
 batched kernel promises that order.
+
+A snapshot leg rides along: at a drawn point in the stream the engine's
+``partial_state_bytes()`` is folded into a fresh engine, whose
+``flush()`` must equal the engine's own flush at that point, while the
+engine itself keeps ingesting and must still match the reference.  The
+stream carries float keys (signed zeros, infinities), a column of mixed
+str/bool/None/int/float keys, and NaN/infinite sums, so the snapshot
+codec's type and bit identity is checked, not assumed.  Results are
+compared by ``repr``: NaN never equals itself, and ``repr`` also tells
+``1``, ``1.0`` and ``True`` apart.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +39,13 @@ SCHEMA = Schema(
         Field("key", FieldType.INT),
         Field("len", FieldType.INT),
         Field("v", FieldType.INT),
+        Field("x", FieldType.FLOAT),
+        Field("tag", FieldType.STR),  # deliberately mixed-type values
     ]
 )
+
+_FLOATS = [0.5, 2.25, 0.0, -0.0, math.inf, -math.inf, math.nan]
+_TAGS = ["a", "b", True, False, None, 1, 2.5]
 
 _REGISTRY = default_registry()
 
@@ -43,7 +60,9 @@ _WHERES = st.sampled_from(
     ]
 )
 
-_GROUP_KEYS = ["time/60 as tb", "key as k", "len % 3 as lm"]
+_GROUP_KEYS = [
+    "time/60 as tb", "key as k", "len % 3 as lm", "x as xv", "tag as g",
+]
 
 _AGGREGATES = [
     "count(*) as c",
@@ -53,12 +72,16 @@ _AGGREGATES = [
     "avg(len) as mean",
     "sum(len * exp((time % 60) * 0.05)) as fwd",
     "fwd_hh(key, exp((time % 60) * 0.05)) as hh",
+    "sum(x) as sx",
+    "avg(x) as ax",
+    "min(x) as lx",
+    "max(x) as hx",
 ]
 
 
 @st.composite
 def _queries(draw) -> str:
-    keys = draw(st.permutations(_GROUP_KEYS))[: draw(st.integers(0, 3))]
+    keys = draw(st.permutations(_GROUP_KEYS))[: draw(st.integers(0, 4))]
     aggregates = draw(
         st.lists(st.sampled_from(_AGGREGATES), min_size=1, max_size=4,
                  unique=True)
@@ -82,6 +105,8 @@ def _streams(draw) -> list[tuple]:
                 draw(st.integers(0, 6)),
                 draw(st.integers(1, 1_500)),
                 draw(st.integers(-3, 3)),
+                draw(st.sampled_from(_FLOATS)),
+                draw(st.sampled_from(_TAGS)),
             )
         )
     return rows
@@ -100,7 +125,7 @@ def _operations(draw, rows: list[tuple]) -> list[tuple[str, list]]:
         begin += size
         if draw(st.booleans()) and draw(st.booleans()):
             ahead = chunk[-1][0] + draw(st.integers(0, 90))
-            operations.append(("heartbeat", [(ahead, 0, 1, 0)]))
+            operations.append(("heartbeat", [(ahead, 0, 1, 0, 0.5, "a")]))
     return operations
 
 
@@ -129,6 +154,7 @@ def test_every_ingest_path_matches_process(
 ):
     rows = data.draw(_streams(), label="rows")
     operations = data.draw(_operations(rows), label="operations")
+    snapshot_at = data.draw(st.integers(0, len(operations)), label="snapshot")
     query = parse_query(sql, _REGISTRY)
 
     def build() -> QueryEngine:
@@ -140,13 +166,28 @@ def test_every_ingest_path_matches_process(
             emit_on_bucket_change=emit_on_bucket_change,
         )
 
+    # The twin is the engine as it stands at the snapshot point.
+    twin = build()
+    for entry, chunk in operations[:snapshot_at]:
+        _feed(twin, entry, chunk)
+    twin.drain()
+
+    def snapshot_leg(engine: QueryEngine) -> None:
+        restored = build()
+        restored.merge_partial(engine.partial_state_bytes())
+        assert repr(restored.flush()) == repr(twin.flush())
+
     mixed, reference = build(), build()
-    for entry, chunk in operations:
+    for index, (entry, chunk) in enumerate(operations):
+        if index == snapshot_at:
+            snapshot_leg(mixed)
         _feed(mixed, entry, chunk)
         _feed(reference, "heartbeat" if entry == "heartbeat" else "process",
               chunk)
-        assert mixed.drain() == reference.drain()
+        assert repr(mixed.drain()) == repr(reference.drain())
+    if snapshot_at == len(operations):
+        snapshot_leg(mixed)
     for name in ("tuples_processed", "tuples_selected", "low_evictions",
                  "group_count"):
         assert getattr(mixed, name) == getattr(reference, name), name
-    assert mixed.flush() == reference.flush()
+    assert repr(mixed.flush()) == repr(reference.flush())

@@ -27,7 +27,6 @@ class TestPartials:
 
     @pytest.mark.parametrize("shards", [0, 3])
     def test_partials_fold_to_the_exact_answer(self, shards):
-        from repro.core.merge import merge_all
         from repro.parallel.worker import ShardPlan
         from repro.workloads.netflow import PACKET_SCHEMA
 
@@ -38,12 +37,7 @@ class TestPartials:
                 client.insert(rows)
                 client.flush()
                 blobs = client.partials()
-        collectors = []
-        for blob in blobs:
-            collector = plan.build_engine()
-            collector.merge_partial(blob)
-            collectors.append(collector)
-        folded = [dict(row) for row in merge_all(collectors).flush()]
+        folded = [dict(row) for row in plan.fold(blobs)]
         assert canon(folded) == canon(expected_rows(SQL, rows))
 
     def test_partials_of_an_empty_server(self):

@@ -151,6 +151,19 @@ class TestByteIdentity:
         assert collector.flush() == reference_flush(SKETCH_SQL, rows)
         assert engine.flush() == reference_flush(SKETCH_SQL, rows)
 
+    @pytest.mark.parametrize("sql", [BUILTIN_SQL, SKETCH_SQL])
+    def test_snapshot_bytes_match_all_ram_engine(self, tmp_path, sql):
+        rows = make_rows()
+        store = TieredStore(str(tmp_path / "s"), hot_groups=10)
+        engine = build_engine(sql, store=store)
+        reference = build_engine(sql)
+        for i in range(0, len(rows), 100):
+            engine.insert_many(rows[i : i + 100])
+            reference.insert_many(rows[i : i + 100])
+        assert store.cold_count > 0
+        assert engine.partial_state_bytes() == reference.partial_state_bytes()
+        assert store.cold_count > 0  # spliced, not faulted in
+
     def test_merge_partial_faults_cold_groups_in(self, tmp_path):
         # Half the stream arrives as a merged partial *after* eviction
         # has pushed overlapping groups cold: the faulting table must
@@ -170,11 +183,11 @@ class TestByteIdentity:
         engine = build_engine(sql, store=store)
         engine.insert_many(rows[:half])
         assert store.cold_count > 0
-        engine.merge_partial(donor.partial_state())
+        engine.merge_partial(donor.partial_state_bytes())
 
         reference = build_engine(sql)
         reference.insert_many(rows[:half])
-        reference.merge_partial(donor.partial_state())
+        reference.merge_partial(donor.partial_state_bytes())
         assert engine.flush() == reference.flush()
 
     def test_compaction_preserves_results(self, tmp_path):
